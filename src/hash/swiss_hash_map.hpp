@@ -4,12 +4,17 @@
 // lock-free readers, and a cooperative striped rehash that migrates the old
 // table through the reclamation layer instead of stopping the world.
 //
-// Layout.  The table is an array of `Group`s.  Each group owns one cache
-// line of metadata — a combined seqlock/lock/migration version word plus 16
-// one-byte tags packed into two 64-bit words — followed by 16 inline
-// (key, value) slots.  A warm `get` therefore touches exactly one metadata
-// line and one data line: no per-node cache miss chain, which is what makes
-// flat layouts dominate the chained maps on read-heavy mixes.
+// Layout.  The table is an array of 64-byte-aligned `Group`s.  Each group is
+// one 64-byte metadata line — a combined seqlock/lock/migration version word
+// plus 16 one-byte tags packed into two 64-bit words — followed by 16 inline
+// (key, value) slots: four slot lines for 8-byte keys and values, 320 bytes
+// in all.  A `get` touches the metadata line and one slot line, and the
+// probe prefetches the first two slot lines alongside the metadata load, so
+// a cold get costs one memory round trip rather than a per-node miss chain;
+// that is what makes flat layouts dominate the chained maps on read-heavy
+// mixes.  A group array of 2 MiB or more sits in huge pages
+// (core/huge_pages.hpp), so a probe of a table larger than the TLB's reach
+// does not also walk the page table.
 //
 // Version word (per group).  Bit 0 = writer lock; bit 1 = kMoved (group
 // drained by rehash; contents dead); bit 2 = kTerminal (group contained an
@@ -57,6 +62,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <type_traits>
 
@@ -64,6 +70,7 @@
 #include "core/atomic.hpp"
 #include "core/group_probe.hpp"
 #include "core/hash.hpp"
+#include "core/huge_pages.hpp"
 #include "core/padded.hpp"
 #include "core/thread_registry.hpp"
 #include "hash/hash_stats.hpp"
@@ -209,6 +216,9 @@ class SwissHashMap {
   Reclaimer& domain() noexcept { return domain_; }
 
  private:
+  // Reads the current table's group array (layout tests).
+  friend struct SwissHashMapAccess;
+
   // ---- layout ------------------------------------------------------------
 
   static constexpr std::uint64_t kLockedBit = 1;
@@ -216,7 +226,12 @@ class SwissHashMap {
   static constexpr std::uint64_t kTerminalBit = 4;
   static constexpr std::uint64_t kSeqStep = 8;
 
-  struct GroupHeader {
+  // The metadata line is 64 bytes, not kCacheLineSize: its only writers are
+  // the group's lock holders, who write the group's slots too, so there is
+  // no independent writer for a wider pad to keep apart.
+  static constexpr std::size_t kMetaLine = 64;
+
+  struct alignas(kMetaLine) GroupHeader {
     Atomic<std::uint64_t> version{0};
     Atomic<std::uint64_t> tags[2] = {};
   };
@@ -227,19 +242,26 @@ class SwissHashMap {
   };
 
   struct Group {
-    // Padded<> gives the metadata its own cache line(s): the version word
-    // and tag words writers hammer never false-share with slot data.
-    Padded<GroupHeader> header;
+    GroupHeader hdr;
     Slot slots[kGroupSlots];
-
-    GroupHeader& hdr() noexcept { return header.value; }
-    const GroupHeader& hdr() const noexcept { return header.value; }
   };
+
+  static_assert(kHugePageSize % alignof(Group) == 0,
+                "huge-page group arrays keep every group aligned");
+#ifndef CCDS_MODEL  // model atomics are instrumented objects, not words
+  static_assert(sizeof(GroupHeader) == kMetaLine,
+                "version word and tags fill one metadata line");
+  static_assert(sizeof(Slot) != 16 || sizeof(Group) == 320,
+                "16-byte slots: one metadata line plus four slot lines");
+#endif
 
   struct Table {
     const std::size_t group_count;  // power of two
     const std::size_t group_mask;
     const std::size_t grow_threshold;  // claimed slots triggering a double
+    // The huge-page mapping under `groups` (core/huge_pages.hpp), or null
+    // when `groups` came from new[]; ~Table frees through the matching path.
+    void* const huge;
     Group* const groups;
     // Predecessor still being drained (null when no rehash in flight).
     // Retired through the Reclaimer once every group is migrated.
@@ -264,7 +286,8 @@ class SwissHashMap {
         : group_count(n),
           group_mask(n - 1),
           grow_threshold(n * kGroupSlots * 13 / 16),
-          groups(new Group[n]) {}
+          huge(huge_page_alloc(n * sizeof(Group))),
+          groups(huge != nullptr ? construct_groups(huge, n) : new Group[n]) {}
 
     Table(const Table&) = delete;
     Table& operator=(const Table&) = delete;
@@ -273,7 +296,19 @@ class SwissHashMap {
       // relaxed: a table is only destroyed at map teardown (externally
       // synchronized) or unpublished after a lost install race.
       delete old.load(std::memory_order_relaxed);
-      delete[] groups;
+      if (huge != nullptr) {
+        std::destroy_n(groups, group_count);
+        huge_page_free(huge, group_count * sizeof(Group));
+      } else {
+        delete[] groups;
+      }
+    }
+
+    // Every group (and so every Atomic) is a live object, as with new[].
+    static Group* construct_groups(void* mem, std::size_t n) {
+      Group* const g = static_cast<Group*>(mem);
+      std::uninitialized_default_construct_n(g, n);
+      return g;
     }
   };
 
@@ -285,21 +320,27 @@ class SwissHashMap {
   // Reclaimers without one (hazard pointers, leaky) fall back to guard().
   auto acquire_guard() const { return lease_of(domain_); }
 
-  // Fetch a group's first slot line in parallel with the demand loads of
-  // its metadata line, before the dependent chain (version -> tags ->
-  // matching slot) serializes them.  Two deliberate omissions: the metadata
-  // line itself (the version load issues immediately after, so a prefetch
-  // is a dead uop) and the line of slots 8-15 (claims always take the
-  // lowest free slot, so occupancy — and therefore probe resolution —
-  // concentrates in the first slot line, and fetching the second line on
-  // every probe measurably costs more in cache traffic than its occasional
-  // hit saves).
+  // Fetch the two slot lines that claim order fills first (slots 0-7 with
+  // 16-byte slots) in parallel with the demand load of the metadata line,
+  // before the dependent chain (version -> tags -> matching slot)
+  // serializes them; a cold probe then costs one memory round trip.
+  // Claims take the lowest free slot, so at the load factors the table
+  // runs at (grown at 13/16, half full after a doubling) keys sit in slots
+  // 0 to ~12, and fetching slots 0-3 alone leaves about half of all cold
+  // gets a dependent second miss; on a 2^23-key table the second line cuts
+  // the get p50 by ~10% (4-vCPU Xeon VM, EXPERIMENTS.md E22).  Not
+  // fetched: the metadata line (its version load issues immediately after,
+  // so a prefetch is a dead uop) and slots 8-15 (rarely reached).
   static void prefetch_group_ro(const Group& g) {
-    prefetch_ro(reinterpret_cast<const char*>(&g) + kCacheLineSize);
+    const char* const s = reinterpret_cast<const char*>(g.slots);
+    prefetch_ro(s);
+    prefetch_ro(s + kMetaLine);
   }
 
   static void prefetch_group_rw(const Group& g) {
-    prefetch_rw(reinterpret_cast<const char*>(&g) + kCacheLineSize);
+    const char* const s = reinterpret_cast<const char*>(g.slots);
+    prefetch_rw(s);
+    prefetch_rw(s + kMetaLine);
   }
 
   static std::size_t groups_for(std::size_t slots) {
@@ -329,7 +370,7 @@ class SwissHashMap {
     for (;;) {
       // acquire: pairs with the releasing unlock so the critical section
       // we enter sees the previous writer's slot/tag stores.
-      std::uint64_t v = g.hdr().version.load(std::memory_order_acquire);
+      std::uint64_t v = g.hdr.version.load(std::memory_order_acquire);
       const std::uint64_t gen = v / kSeqStep;
       if (seen_gen == std::uint64_t(-1)) {
         seen_gen = gen;
@@ -342,7 +383,7 @@ class SwissHashMap {
         spin_wait(spins);
         continue;
       }
-      if (g.hdr().version.compare_exchange_weak(
+      if (g.hdr.version.compare_exchange_weak(
               v, v | kLockedBit, std::memory_order_acquire,
               std::memory_order_relaxed)) {  // relaxed: failure just retries
         // release fence: the odd (locked) version word must become visible
@@ -366,11 +407,11 @@ class SwissHashMap {
     if (dirty) next += kSeqStep;
     // release: publishes every tag/slot store of the critical section to
     // the next acquirer and to validating readers.
-    g.hdr().version.store(next, std::memory_order_release);
+    g.hdr.version.store(next, std::memory_order_release);
   }
 
   void set_tag(Group& g, int slot, std::uint8_t tag) {
-    Atomic<std::uint64_t>& word = g.hdr().tags[slot >> 3];
+    Atomic<std::uint64_t>& word = g.hdr.tags[slot >> 3];
     const int shift = 8 * (slot & 7);
     // relaxed: tag words are mutated only under the group lock and
     // published by the unlock release store; readers discard torn
@@ -408,7 +449,7 @@ class SwissHashMap {
       for (;;) {  // per-group seqlock retry loop
         // acquire: tag/slot loads below cannot float above this snapshot.
         const std::uint64_t v1 =
-            g.hdr().version.load(std::memory_order_acquire);
+            g.hdr.version.load(std::memory_order_acquire);
         const std::uint64_t gen = v1 / kSeqStep;
         if (seen_gen == std::uint64_t(-1)) {
           seen_gen = gen;
@@ -428,9 +469,9 @@ class SwissHashMap {
         // relaxed: ordered collectively by the acquire above and the
         // acquire fence below; torn snapshots fail the version re-check.
         const std::uint64_t w0 =
-            g.hdr().tags[0].load(std::memory_order_relaxed);
+            g.hdr.tags[0].load(std::memory_order_relaxed);
         const std::uint64_t w1 =
-            g.hdr().tags[1].load(std::memory_order_relaxed);
+            g.hdr.tags[1].load(std::memory_order_relaxed);
         std::uint32_t m = group_match_tag(w0, w1, tag);
         bool found = false;
         Value val{};
@@ -454,7 +495,7 @@ class SwissHashMap {
         // version re-check; with the writer's post-lock release fence this
         // guarantees a matching re-check implies an untorn snapshot.
         ccds::atomic_thread_fence(std::memory_order_acquire);
-        if (g.hdr().version.load(std::memory_order_relaxed) != v1) {  // relaxed: the fence orders it
+        if (g.hdr.version.load(std::memory_order_relaxed) != v1) {  // relaxed: the fence orders it
           // Torn snapshot: a writer raced this read.  Its dirty unlock
           // bumped the generation, so the retry's reload counts it.
           spin_wait(spins);
@@ -491,8 +532,8 @@ class SwissHashMap {
       HashStats::probe();
       // relaxed: we hold the group lock; the lock CAS acquired the previous
       // writer's stores and our unlock will publish ours.
-      const std::uint64_t w0 = g.hdr().tags[0].load(std::memory_order_relaxed);
-      const std::uint64_t w1 = g.hdr().tags[1].load(std::memory_order_relaxed);
+      const std::uint64_t w0 = g.hdr.tags[0].load(std::memory_order_relaxed);
+      const std::uint64_t w1 = g.hdr.tags[1].load(std::memory_order_relaxed);
       std::uint32_t m = group_match_tag(w0, w1, tag);
       while (m != 0) {
         const int s = group_first_slot(m);
@@ -539,8 +580,8 @@ class SwissHashMap {
       if (!lv) return Wr::kStale;
       HashStats::probe();  // E19: in-lock, same rationale as write_in
       // relaxed: group lock held (see write_in).
-      const std::uint64_t w0 = g.hdr().tags[0].load(std::memory_order_relaxed);
-      const std::uint64_t w1 = g.hdr().tags[1].load(std::memory_order_relaxed);
+      const std::uint64_t w0 = g.hdr.tags[0].load(std::memory_order_relaxed);
+      const std::uint64_t w1 = g.hdr.tags[1].load(std::memory_order_relaxed);
       std::uint32_t m = group_match_tag(w0, w1, tag);
       while (m != 0) {
         const int s = group_first_slot(m);
@@ -622,8 +663,8 @@ class SwissHashMap {
     const auto lv = lock_group(g);
     if (!lv) return false;  // already drained
     // relaxed: group lock held.
-    const std::uint64_t w0 = g.hdr().tags[0].load(std::memory_order_relaxed);
-    const std::uint64_t w1 = g.hdr().tags[1].load(std::memory_order_relaxed);
+    const std::uint64_t w0 = g.hdr.tags[0].load(std::memory_order_relaxed);
+    const std::uint64_t w1 = g.hdr.tags[1].load(std::memory_order_relaxed);
     std::uint32_t full = ~group_match_free(w0, w1) & 0xffffu;
     while (full != 0) {
       const int s = group_first_slot(full);
@@ -656,14 +697,14 @@ class SwissHashMap {
       Group& g = old_t->groups[(home + i) & old_t->group_mask];
       // acquire: a moved group's terminal bit decides chain termination,
       // and must be read no earlier than the drainer's publication.
-      std::uint64_t v = g.hdr().version.load(std::memory_order_acquire);
+      std::uint64_t v = g.hdr.version.load(std::memory_order_acquire);
       if (!(v & kMovedBit)) {
         if (drain_group(t, g)) {
           // acq_rel: the detach CAS in help_migrate must observe this
           // increment no earlier than the drain it counts.
           old_t->migrated.fetch_add(1, std::memory_order_acq_rel);
         }
-        v = g.hdr().version.load(std::memory_order_acquire);  // re-read: now moved
+        v = g.hdr.version.load(std::memory_order_acquire);  // re-read: now moved
       }
       if (v & kTerminalBit) return;  // chain ends at this group
     }

@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -150,6 +151,32 @@ TEST(ThreadRegistry, IdsAreRecycledAfterExit) {
   }
   EXPECT_LT(round1.size(), 100u);  // recycling happened
   EXPECT_LT(round2.size(), 100u);
+}
+
+// The registry's limit: with kMaxThreads threads holding ids, one more
+// registration aborts with a diagnostic instead of handing out an id that
+// would index past every per-thread slot array.  Starts kMaxThreads + 1
+// threads, all inside the death statement's child process.
+TEST(ThreadRegistryDeathTest, OneThreadPastTheLimitAbortsWithDiagnostic) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        std::latch release(1);
+        std::atomic<std::size_t> holding{0};
+        std::vector<std::thread> holders;
+        for (std::size_t i = 0; i < kMaxThreads; ++i) {
+          holders.emplace_back([&] {
+            (void)thread_id();
+            holding.fetch_add(1);
+            release.wait();
+          });
+        }
+        while (holding.load() < kMaxThreads) std::this_thread::yield();
+        std::thread([] { (void)thread_id(); }).join();
+        release.count_down();
+        for (auto& t : holders) t.join();
+      },
+      "thread registry exhausted");
 }
 
 // ---------- barrier ----------

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/huge_pages.hpp"
+#include "core/rng.hpp"
 #include "hash/coarse_hash_map.hpp"
 #include "hash/split_ordered_set.hpp"
 #include "hash/striped_hash_map.hpp"
@@ -19,6 +21,38 @@
 #include "test_util.hpp"
 
 namespace ccds {
+
+// Reads a SwissHashMap's current group array (the map befriends it).
+struct SwissHashMapAccess {
+  template <typename M>
+  static std::size_t group_bytes() {
+    return sizeof(typename M::Group);
+  }
+
+  template <typename M>
+  static std::uintptr_t groups_address(const M& m) {
+    auto guard = m.acquire_guard();
+    return reinterpret_cast<std::uintptr_t>(guard.protect(0, m.table_)->groups);
+  }
+
+  // Every group of the current table is unlocked, untouched and tag-empty.
+  template <typename M>
+  static bool all_groups_empty(const M& m) {
+    auto guard = m.acquire_guard();
+    const auto* t = guard.protect(0, m.table_);
+    for (std::size_t i = 0; i < t->group_count; ++i) {
+      const auto& h = t->groups[i].hdr;
+      // relaxed: the map is quiescent.
+      if (h.version.load(std::memory_order_relaxed) != 0 ||
+          h.tags[0].load(std::memory_order_relaxed) != 0 ||
+          h.tags[1].load(std::memory_order_relaxed) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 namespace {
 
 // ---------- typed map tests ----------
@@ -220,6 +254,74 @@ TEST(SwissHashMap, ConcurrentChurnAcrossRehashes) {
       ASSERT_EQ(m.contains(t * kPer + i), !erased);
     }
   }
+}
+
+// Bytes of the current table's group array.
+template <typename M>
+std::size_t group_array_bytes(const M& m) {
+  return m.capacity() / kGroupSlots * SwissHashMapAccess::group_bytes<M>();
+}
+
+TEST(SwissHashMap, GrowsAcrossTheHugePageThresholdUnderConcurrency) {
+  // Start on a plain new[] array and grow, under concurrent writers and
+  // seqlock readers, into tables large enough for huge-page arrays; every
+  // rehash in between retires a table of one kind or the other.
+  using Map = SwissHashMap<std::uint64_t, std::uint64_t>;
+  Map m(16);
+  ASSERT_LT(group_array_bytes(m), kHugePageSize);
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kReaders = 2;
+  constexpr std::uint64_t kPer = 25000;
+  const auto key = [](std::size_t w, std::uint64_t i) { return w * kPer + i; };
+  const auto val = [](std::uint64_t k) { return k * 2 + 1; };
+  std::atomic<std::uint64_t> published[kWriters] = {};
+  std::atomic<std::size_t> writers_done{0};
+  std::atomic<int> failures{0};
+  test::run_threads(kWriters + kReaders, [&](std::size_t idx) {
+    if (idx < kWriters) {
+      for (std::uint64_t i = 0; i < kPer; ++i) {
+        if (!m.insert(key(idx, i), val(key(idx, i)))) failures.fetch_add(1);
+        published[idx].store(i + 1, std::memory_order_release);
+      }
+      writers_done.fetch_add(1);
+      return;
+    }
+    Xoshiro256 rng(idx);
+    while (writers_done.load() < kWriters) {
+      const std::size_t w = rng.next_below(kWriters);
+      const std::uint64_t n = published[w].load(std::memory_order_acquire);
+      if (n == 0) continue;
+      const std::uint64_t k = key(w, rng.next_below(n));
+      const auto got = m.get(k);
+      if (!got || *got != val(k)) failures.fetch_add(1);
+      if (m.contains(kWriters * kPer + k)) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  while (m.rehash_in_progress()) m.insert(key(0, 0), val(key(0, 0)));
+  EXPECT_EQ(m.size(), kWriters * kPer);
+  EXPECT_GE(group_array_bytes(m), kHugePageSize);
+  EXPECT_EQ(SwissHashMapAccess::groups_address(m) % kHugePageSize, 0u);
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    for (std::uint64_t i = 0; i < kPer; ++i) {
+      const auto got = m.get(key(w, i));
+      ASSERT_TRUE(got.has_value()) << "lost key " << key(w, i);
+      ASSERT_EQ(*got, val(key(w, i)));
+    }
+  }
+}
+
+TEST(SwissHashMap, FreshLargeTableIsHugePageAlignedAndEmpty) {
+  using Map = SwissHashMap<std::uint64_t, std::uint64_t>;
+  Map m(std::size_t{1} << 18);
+  ASSERT_GE(group_array_bytes(m), kHugePageSize);
+  EXPECT_EQ(SwissHashMapAccess::groups_address(m) % kHugePageSize, 0u);
+  EXPECT_TRUE(SwissHashMapAccess::all_groups_empty(m));
+  EXPECT_EQ(m.size(), 0u);
+  for (std::uint64_t k = 0; k < 4096; ++k) ASSERT_FALSE(m.contains(k));
+  for (std::uint64_t k = 0; k < 4096; ++k) ASSERT_TRUE(m.insert(k, ~k));
+  for (std::uint64_t k = 0; k < 4096; ++k) ASSERT_EQ(m.get(k).value(), ~k);
+  EXPECT_EQ(m.size(), 4096u);
 }
 
 TEST(HashMapStringKeys, WorksWithNonTrivialKeys) {

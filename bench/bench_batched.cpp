@@ -14,11 +14,11 @@
 // (atomic, relaxed).  Wall-clock throughput on this repo's 1-CPU host
 // (EXPERIMENTS.md methodology) measures the scheduler, not the algorithm:
 // T=8 rows are preemption storms and fan-out "parallelism" is time-sliced.
-// Comparison counts are schedule-independent, capture the submitter-side
-// sort, the merge, the finger walk AND the helper threads' segment work
-// (the global counter is exactly why: helpers are pool workers that a
-// thread_local tally would miss), and every row pays the same constant
-// per-comparison cost, so ratios are honest.  The fan-out rows additionally
+// Comparison counts are schedule-independent, capture the shard routing,
+// the per-shard sorts, the finger walk AND the helper threads' segment work
+// (the global counter is exactly why: sorting and applying a segment runs
+// on pool workers that a thread_local tally would miss), and every row pays
+// the same constant per-comparison cost, so ratios are honest.  The fan-out rows additionally
 // carry structural witnesses (fanout_subbatches_per_batch,
 // worker_tasks_per_batch) proving the cross-thread path actually ran.
 //

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/arch.hpp"
+#include "core/padded.hpp"
 #include "core/rng.hpp"
 #include "core/thread_registry.hpp"
 #include "reclaim/epoch.hpp"
@@ -50,14 +51,21 @@ class StealingPool {
     stacks_[thread_id()].push_bulk(vs);
   }
 
+  // A stack whose head reads null is skipped on that one load, before
+  // try_pop takes a reclaimer guard, and only ids that ever registered are
+  // scanned: a poll of a drained pool touches no domain, so an idle
+  // executor never pins the reclaimers its quiescent collect_all drains.
   std::optional<T> try_get() {
     const std::size_t me = thread_id();
-    if (auto v = stacks_[me].try_pop()) return v;
-    // Steal: scan all other stacks from a random starting point.
-    const std::size_t start = thread_rng().next_below(kMaxThreads);
-    for (std::size_t i = 0; i < kMaxThreads; ++i) {
-      const std::size_t victim = (start + i) % kMaxThreads;
-      if (victim == me) continue;
+    if (!stacks_[me].empty()) {
+      if (auto v = stacks_[me].try_pop()) return v;
+    }
+    // Steal: scan the other registered stacks from a random starting point.
+    const std::size_t ceiling = registered_ceiling();
+    const std::size_t start = thread_rng().next_below(ceiling);
+    for (std::size_t i = 0; i < ceiling; ++i) {
+      const std::size_t victim = (start + i) % ceiling;
+      if (victim == me || stacks_[victim].empty()) continue;
       if (auto v = stacks_[victim].try_pop()) return v;
     }
     return std::nullopt;
@@ -126,10 +134,10 @@ class StealingExecutor {
     BulkLatch* latch = nullptr;
   };
 
-  explicit StealingExecutor(std::size_t workers = 1) {
+  explicit StealingExecutor(std::size_t workers = 1) : acks_(workers) {
     workers_.reserve(workers);
     for (std::size_t i = 0; i < workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, i] { worker_loop(i); });
     }
   }
 
@@ -179,6 +187,22 @@ class StealingExecutor {
     return false;
   }
 
+  // Wait until every worker has passed the top of its loop since this call
+  // began.  A poll that started earlier may still hold a reclaimer guard on
+  // a task node it saw before the last task was popped; a worker at its
+  // loop top has finished every such poll, and with no task pending a new
+  // poll takes no guard (StealingPool::try_get).  Call it after every latch
+  // has drained: the pool's quiescent-only collect_all is then safe while
+  // the workers keep running.
+  void quiesce() {
+    const std::uint64_t req =
+        quiesce_req_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    for (auto& ack : acks_) {
+      std::uint32_t spins = 0;
+      while (ack.value.load(std::memory_order_acquire) < req) spin_wait(spins);
+    }
+  }
+
   std::size_t worker_count() const { return workers_.size(); }
 
   // Tasks executed by the worker crew (not by helping waiters): the
@@ -195,9 +219,18 @@ class StealingExecutor {
     if (t.latch != nullptr) t.latch->done();
   }
 
-  void worker_loop() {
+  void worker_loop(std::size_t w) {
     std::uint32_t spins = 0;
+    std::uint64_t acked = 0;
     while (!stop_.load(std::memory_order_acquire)) {
+      // acquire/release: the quiescer's pops (its drained latches) happen
+      // before this worker's next poll, and this worker's earlier polls
+      // (their guard releases) happen before the quiescer's collect.
+      const std::uint64_t req = quiesce_req_.load(std::memory_order_acquire);
+      if (req != acked) {
+        acked = req;
+        acks_[w].value.store(req, std::memory_order_release);
+      }
       if (auto t = pool_.try_get()) {
         run(*t);
         worker_executed_.fetch_add(1, std::memory_order_relaxed);  // relaxed: stats
@@ -210,6 +243,10 @@ class StealingExecutor {
 
   StealingPool<Task, Domain> pool_;
   std::atomic<bool> stop_{false};  // unpadded: written once, at shutdown
+  // unpadded: read by every worker loop like stop_, written only by
+  // quiesce(); each worker acknowledges on its own line.
+  std::atomic<std::uint64_t> quiesce_req_{0};
+  std::vector<Padded<std::atomic<std::uint64_t>>> acks_;
   // unpadded: statistics counter bumped between pool CASes, not on a spin
   // path; readers poll it off the hot loop.
   std::atomic<std::uint64_t> worker_executed_{0};

@@ -7,44 +7,54 @@
 //
 //   submitters                         combiner
 //   ----------                        ---------------------------------
-//   sort own run (Op::prepare)   -->  gather ALL pending sorted runs
-//   publish mergeable request         (CcSynch: consecutive list nodes;
+//   publish mergeable request    -->  gather ALL pending runs
+//   (the run as built, unsorted)       (CcSynch: consecutive list nodes;
 //   spin locally                       FlatCombiner: slot scan)
-//                                     k-way MERGE the runs (winner tree,
-//                                      ~log2 k comparisons per op)
-//                                     group equal keys, LAST-WRITER-WINS
-//                                      (each op's result slot still filled)
-//                                     apply each group once, left-to-right,
-//                                      resuming the search from the
-//                                      previous key's position (finger
-//                                      seek: O(log d) for gap d, so a batch
-//                                      of B over N keys costs
-//                                      O(B + B·log(N/B)) instead of
-//                                      O(B·log N))
-//                                     above a size threshold, fan disjoint
-//                                      key-range segments out to helper
-//                                      threads (pool/stealing_pool.hpp)
-//                                      and HELP until the latch drains
+//                                     BUCKET every op by key-range shard,
+//                                      in combining order (branch-free
+//                                      search over the splitters:
+//                                      ceil(log2 shards) comparisons per op)
+//                                     per non-empty shard, one segment task
+//                                      (fanned out to helper threads above
+//                                      a size threshold; pool/
+//                                      stealing_pool.hpp), which:
+//                                       STABLE-SORTS its bucket by key,
+//                                       groups equal keys, LAST-WRITER-WINS
+//                                        (each op's result slot still filled)
+//                                       applies each group once, left-to-
+//                                        right, resuming the search from the
+//                                        previous key's position (finger
+//                                        seek: O(log d) for gap d, so a batch
+//                                        of B over N keys costs
+//                                        O(B + B·log(N/B)) instead of
+//                                        O(B·log N))
+//                                     HELP until the latch drains
 //
-// Sorting happens on the SUBMITTING threads (it parallelizes across them);
-// merging, deduplication and application happen inside one combining
-// episode, so a batch — and the union of merged batches — is atomic with
-// respect to every other operation on the structure.  Per-op results are
-// written into the ops before any submitter's wait drops.
+// Sorting happens in the segment tasks, so with an executor attached it
+// runs in parallel across shards, on whichever thread applies the shard.
+// The sort is stable and the buckets are filled in combining order, so
+// ties keep submission order within a run and combining order across runs:
+// last-writer-wins is exactly that of applying the runs one after another.
+// Bucketing, sorting, deduplication and application all happen inside one
+// combining episode, so a batch — and the union of merged batches — is
+// atomic with respect to every other operation on the structure.  Per-op
+// results are written into the ops before any submitter's wait drops.
 //
 // The state is partitioned into disjoint key ranges by a fixed splitter
 // vector (empty = one range).  Ranges give two things: single operations
-// descend a shard of N/P keys (cheaper than N), and a merged run splits at
-// range boundaries into segments that helper threads can apply in parallel
+// descend a shard of N/P keys (cheaper than N), and an episode's ops split
+// into per-shard buckets that helper threads can sort and apply in parallel
 // against independent sequential structures — no synchronization inside a
 // segment at all, which is the OBATCHER bet: batch-level parallelism with
 // sequential-structure simplicity.
 //
-// When batching LOSES: tiny batches (sort + merge overhead, nothing to
-// amortize), batches wider than the key locality (gaps d ~ N/B approach N
-// and the finger seek degenerates to a full descent), and read-mostly
-// single-op workloads where a lock-free traversal would not serialize at
-// all (see docs/algorithms.md and EXPERIMENTS.md E18).
+// When batching LOSES: tiny batches (sort overhead, nothing to amortize),
+// batches wider than the key locality (gaps d ~ N/B approach N and the
+// finger seek degenerates to a full descent), and read-mostly single-op
+// workloads where a lock-free traversal would not serialize at all (see
+// docs/algorithms.md and EXPERIMENTS.md E18).  With one shard and no
+// executor, the combiner alone sorts every pending run (EXPERIMENTS.md
+// E23).
 #pragma once
 
 #include <algorithm>
@@ -56,7 +66,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/arch.hpp"
 #include "skiplist/seq_skiplist.hpp"
 #include "sync/ccsynch.hpp"
 #include "sync/combiner.hpp"
@@ -83,9 +92,9 @@ template <typename Key, typename Compare, SkipListLevels Levels>
 struct BatchedSkipState {
   using Seq = SeqSkipListSet<Key, Compare, Levels>;
 
-  // One operation of a (sorted) batch.  Built by the static factories;
-  // `result` and (for kContains hits) `key` are written by the combiner
-  // before the submitting call returns.
+  // One operation of a batch.  Built by the static factories; `result` and
+  // (for kContains hits) `key` are written by the combiner before the
+  // submitting call returns.
   struct Op {
     enum class Kind : std::uint8_t {
       kContains,  // result = present; on hit, key is overwritten with the
@@ -105,21 +114,13 @@ struct BatchedSkipState {
     Op(Key k, Kind ki) : key(std::move(k)), kind(ki) {}
 
     Key key{};
-    // Sorted chain through the run, threaded by prepare() so the caller's
-    // array order (= result slot order) is never permuted; sorted_head is
-    // meaningful on the run's first element only.
-    Op* next_sorted = nullptr;
-    Op* sorted_head = nullptr;
     Kind kind = Kind::kContains;
     bool result = false;
 
     // Single-op execution (the engines' apply/apply_batch path): same
-    // semantics as a one-op sorted batch, minus the merge machinery.
+    // semantics as a one-op batch, minus the bucketing.
     void operator()(BatchedSkipState& s) {
-      Compare comp{};
-      std::size_t sh = 0;
-      while (sh < s.splitters.size() && !comp(key, s.splitters[sh])) ++sh;
-      Seq& shard = *s.shards[sh];
+      Seq& shard = *s.shards[s.shard_of(key)];
       typename Seq::Finger f = shard.finger();
       shard.seek(f, key);
       const bool present = shard.found_at(f, key);
@@ -147,30 +148,9 @@ struct BatchedSkipState {
       }
     }
 
-    // Submitter-side sort (CombinerBatchOps::apply_sorted_batch calls this
-    // before publishing).  Stable by submission order, so last-writer-wins
-    // inside a run follows program order.
-    static void prepare(std::span<Op> ops) {
-      if (ops.size() == 1) {
-        ops[0].next_sorted = nullptr;
-        ops[0].sorted_head = ops.data();
-        return;
-      }
-      std::vector<Op*> idx(ops.size());
-      for (std::size_t i = 0; i < ops.size(); ++i) idx[i] = &ops[i];
-      std::stable_sort(idx.begin(), idx.end(), [](const Op* a, const Op* b) {
-        return Compare{}(a->key, b->key);
-      });
-      for (std::size_t i = 0; i + 1 < idx.size(); ++i) {
-        idx[i]->next_sorted = idx[i + 1];
-      }
-      idx.back()->next_sorted = nullptr;
-      ops[0].sorted_head = idx[0];
-    }
-
-    // Merged application: every pending sorted run of one combining
-    // episode, in combining order.  Runs in the combiner; see the member
-    // functions below for the merge / dedup / apply pipeline.
+    // Merged application: every pending run of one combining episode, in
+    // combining order.  Runs in the combiner; see the member functions
+    // below for the bucket / sort / dedup / apply pipeline.
     static void apply_runs(std::span<std::span<Op>> runs,
                            BatchedSkipState& s) {
       s.apply_runs_impl(runs);
@@ -183,7 +163,7 @@ struct BatchedSkipState {
   // state per combining episode).  Shards and routing are copied; the
   // fan-out hook carries over (the executor is engine-independent); the
   // combiner scratch starts empty — it is per-episode working memory, and
-  // any SegJob entries in the source point into the SOURCE's scratch.
+  // the source's buckets point into the SOURCE episode's ops.
   BatchedSkipState(const BatchedSkipState& o)
       : splitters(o.splitters),
         stats(o.stats),
@@ -218,23 +198,33 @@ struct BatchedSkipState {
     }
   }
 
-  // A contiguous slice of the merged op sequence, all routed to one shard.
-  struct Seg {
-    std::size_t begin;
-    std::size_t end;
-    std::size_t shard;
-  };
+  // The shard holding `key`: the number of splitters <= key, by a binary
+  // search whose step is a conditional move, not a branch — ceil(log2 S)
+  // comparisons for S shards, none with one shard.  The search runs over
+  // the S positions [0, S); position i > 0 stands for splitters[i - 1].
+  std::size_t shard_of(const Key& key) const {
+    Compare comp{};
+    std::size_t base = 0;
+    std::size_t n = splitters.size() + 1;
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = comp(key, splitters[base + half - 1]) ? base : base + half;
+      n -= half;
+    }
+    return base;
+  }
 
-  // One fan-out unit: a segment plus its output (the dedup count), written
-  // by whichever thread runs it and summed by the combiner after the wait.
+  // One fan-out unit: a shard's bucket plus its output (the dedup count),
+  // written by whichever thread runs it and summed by the combiner after
+  // the wait.
   struct SegJob {
     BatchedSkipState* state;
-    Seg seg;
+    std::size_t shard;
     std::uint64_t folded;
 
     static void run(void* ctx) {
       SegJob* j = static_cast<SegJob*>(ctx);
-      j->folded = j->state->apply_segment(j->seg);
+      j->folded = j->state->apply_segment(j->shard);
     }
   };
 
@@ -245,110 +235,48 @@ struct BatchedSkipState {
     stats.merged_runs += runs.size();
     stats.ops += total;
 
-    merge_runs(runs, total);
-    segment_scratch();
+    // Combining order, then submission order within a run: the order every
+    // bucket's stable sort keeps among equal keys.
+    buckets.resize(shards.size());
+    for (auto& b : buckets) b.clear();
+    for (const auto& r : runs) {
+      for (Op& op : r) buckets[shard_of(op.key)].push_back(&op);
+    }
+    jobs.clear();
+    for (std::size_t sh = 0; sh < buckets.size(); ++sh) {
+      if (!buckets[sh].empty()) jobs.push_back(SegJob{this, sh, 0});
+    }
 
-    const bool fan = dispatch != nullptr && segs.size() > 1 &&
+    const bool fan = dispatch != nullptr && jobs.size() > 1 &&
                      total >= fanout_threshold;
     if (fan) {
       stats.fanout_batches += 1;
-      stats.fanout_subbatches += segs.size();
-      jobs.clear();
-      for (const Seg& g : segs) jobs.push_back(SegJob{this, g, 0});
+      stats.fanout_subbatches += jobs.size();
       dispatch(exec, jobs.data(), jobs.size());
-      for (const SegJob& j : jobs) stats.dedup_folded += j.folded;
     } else {
-      for (const Seg& g : segs) stats.dedup_folded += apply_segment(g);
+      for (SegJob& j : jobs) SegJob::run(&j);
     }
+    for (const SegJob& j : jobs) stats.dedup_folded += j.folded;
   }
 
-  // k-way merge of the pre-sorted chains into `scratch` via a winner
-  // (tournament) tree: exactly ceil(log2 k) comparisons per op, and ties
-  // resolve to the lower run index (= combining order), preserving
-  // last-writer-wins across runs.  In-order leaves make "left subtree ==
-  // lower runs" hold, so one strict comparison per match suffices.
-  void merge_runs(std::span<std::span<Op>> runs, std::size_t total) {
-    scratch.clear();
-    scratch.reserve(total);
-    const std::size_t k = runs.size();
-    if (k == 1) {
-      for (Op* op = runs[0].front().sorted_head; op != nullptr;
-           op = op->next_sorted) {
-        scratch.push_back(op);
-      }
-      return;
-    }
+  // Sort and apply one shard's bucket: stable-sort the ops by key, then walk
+  // them with a finger (each key resumes from the previous key's position),
+  // folding same-key groups — every op's result slot is written, but the
+  // structure sees at most ONE mutation per key (the group's net effect),
+  // so no intermediate state ever materializes.  Returns the number of
+  // folded (non-first) ops.
+  std::uint64_t apply_segment(std::size_t sh) {
+    std::vector<Op*>& ops = buckets[sh];
     Compare comp{};
-    std::size_t m = 1;
-    while (m < k) m <<= 1;  // leaf count, padded to a power of two
-    CCDS_ASSERT(m <= 2 * kMaxThreads);
-    Op* heads[2 * kMaxThreads];
-    std::size_t tree[4 * kMaxThreads];  // tree[j]: winning run of match j
-    for (std::size_t i = 0; i < m; ++i) {
-      heads[i] = i < k ? runs[i].front().sorted_head : nullptr;
-    }
-    const auto match = [&](std::size_t a, std::size_t b) {
-      Op* ha = heads[a];
-      Op* hb = heads[b];
-      if (ha == nullptr) return b;
-      if (hb == nullptr) return a;
-      // Strictly-smaller right head wins; ties go left (lower run index).
-      return comp(hb->key, ha->key) ? b : a;
-    };
-    for (std::size_t j = m; j < 2 * m; ++j) tree[j] = j - m;
-    for (std::size_t j = m - 1; j >= 1; --j) {
-      tree[j] = match(tree[2 * j], tree[2 * j + 1]);
-    }
-    for (;;) {
-      const std::size_t w = tree[1];
-      Op* op = heads[w];
-      if (op == nullptr) break;  // every run exhausted
-      scratch.push_back(op);
-      heads[w] = op->next_sorted;
-      for (std::size_t j = (m + w) >> 1; j >= 1; j >>= 1) {
-        tree[j] = match(tree[2 * j], tree[2 * j + 1]);
-      }
-    }
-  }
-
-  // Split the merged (ascending) op sequence at shard boundaries.  The
-  // cursor only moves forward: cost is one comparison per op plus one per
-  // crossed splitter — and zero comparisons with a single shard.
-  void segment_scratch() {
-    segs.clear();
-    Compare comp{};
-    std::size_t cursor = 0;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < scratch.size(); ++i) {
-      std::size_t sh = cursor;
-      while (sh < splitters.size() && !comp(scratch[i]->key, splitters[sh])) {
-        ++sh;
-      }
-      if (sh != cursor) {
-        if (i > start) segs.push_back(Seg{start, i, cursor});
-        cursor = sh;
-        start = i;
-      }
-    }
-    if (scratch.size() > start) {
-      segs.push_back(Seg{start, scratch.size(), cursor});
-    }
-  }
-
-  // Apply one shard's segment: walk the sorted ops with a finger (each key
-  // resumes from the previous key's position), folding same-key groups —
-  // every op's result slot is written, but the structure sees at most ONE
-  // mutation per key (the group's net effect), so no intermediate state
-  // ever materializes.  Returns the number of folded (non-first) ops.
-  std::uint64_t apply_segment(const Seg& seg) {
-    Seq& shard = *shards[seg.shard];
+    std::stable_sort(ops.begin(), ops.end(), [&comp](const Op* a, const Op* b) {
+      return comp(a->key, b->key);
+    });
+    Seq& shard = *shards[sh];
     typename Seq::Finger f = shard.finger();
-    Compare comp{};
     std::uint64_t folded = 0;
-    std::size_t i = seg.begin;
-    while (i < seg.end) {
-      Op* first = scratch[i];
-      const Key& key = first->key;
+    std::size_t i = 0;
+    while (i < ops.size()) {
+      const Key& key = ops[i]->key;
       shard.seek(f, key);
       const bool initial = shard.found_at(f, key);
       // The group's live element image: the stored one initially, then the
@@ -357,8 +285,8 @@ struct BatchedSkipState {
       const Key* current = stored;
       bool present = initial;
       std::size_t j = i;
-      for (; j < seg.end; ++j) {
-        Op* op = scratch[j];
+      for (; j < ops.size(); ++j) {
+        Op* op = ops[j];
         if (j > i && comp(key, op->key)) break;  // next key group
         switch (op->kind) {
           case Op::Kind::kContains:
@@ -398,21 +326,55 @@ struct BatchedSkipState {
     return folded;
   }
 
+  // Type-erased fan-out trampoline.  Publishes jobs [keep, n) with one bulk
+  // submit, runs [0, keep) itself, then helps until the latch drains, where
+  // keep = ceil(n / (workers + 1)) is the combiner's fair share.  The
+  // combiner thus applies the same low shards batch after batch and their
+  // nodes stay in its core's cache; running its own share without a worker
+  // is also what keeps a 1-CPU host live.
+  template <typename Exec>
+  static void dispatch_to(void* ex, SegJob* jobs, std::size_t n) {
+    Exec& e = *static_cast<Exec*>(ex);
+    const std::size_t keep = (n + e.worker_count()) / (e.worker_count() + 1);
+    typename Exec::Task tasks[kBatchedSkipListMaxShards];
+    for (std::size_t i = keep; i < n; ++i) {
+      tasks[i - keep].fn = &SegJob::run;
+      tasks[i - keep].ctx = &jobs[i];
+    }
+    typename Exec::Latch latch;
+    e.submit_bulk(std::span<typename Exec::Task>(tasks, n - keep), latch);
+    for (std::size_t i = 0; i < keep; ++i) SegJob::run(&jobs[i]);
+    e.wait(latch);
+  }
+
+  // Point the fan-out hook at executor `e` (it must outlive the
+  // attachment), or back to inline application.
+  template <typename Exec>
+  void attach(Exec& e) {
+    exec = &e;
+    dispatch = &dispatch_to<Exec>;
+  }
+
+  void detach() {
+    exec = nullptr;
+    dispatch = nullptr;
+  }
+
   std::vector<Key> splitters;
   std::vector<std::unique_ptr<Seq>> shards;
   BatchedSkipListStats stats;
 
   // Fan-out hook (type-erased so this header needs no executor type): set
-  // by BatchedSkipListSet::attach_executor, called by the combiner with the
-  // per-shard jobs of one batch.  Null = apply segments inline.
+  // by attach(), called by the combiner with the per-shard jobs of one
+  // batch.  Null = apply segments inline.
   void (*dispatch)(void* exec, SegJob* jobs, std::size_t n) = nullptr;
   void* exec = nullptr;
   std::size_t fanout_threshold = 256;
 
-  // Combiner-owned scratch, reused across batches (helper threads only
-  // read scratch/segs and write their own SegJob slot).
-  std::vector<Op*> scratch;
-  std::vector<Seg> segs;
+  // Combiner-owned scratch, reused across batches: one bucket of op
+  // pointers per shard, filled by the combiner and then sorted and applied
+  // by the one thread that runs its SegJob.
+  std::vector<std::vector<Op*>> buckets;
   std::vector<SegJob> jobs;
 };
 
@@ -457,11 +419,11 @@ class BatchedSkipListSet {
     return op.result;
   }
 
-  // Submit `ops` as ONE sorted batch: sorted + deduplicated by key
-  // (last-writer-wins in submission order), applied in a single
-  // left-to-right pass, atomic w.r.t. every other operation.  Results land
-  // in each op's `result` (and `key` for kContains hits) in the caller's
-  // original slot order.
+  // Submit `ops` as ONE batch: sorted + deduplicated by key inside the
+  // combining episode (last-writer-wins in submission order), applied in a
+  // single left-to-right pass per shard, atomic w.r.t. every other
+  // operation.  Results land in each op's `result` (and `key` for kContains
+  // hits) in the caller's original slot order, which is never permuted.
   void apply_batch(std::span<Op> ops) { engine_.apply_sorted_batch(ops); }
 
   std::size_t size() const {
@@ -476,28 +438,22 @@ class BatchedSkipListSet {
     return engine_.apply([](State& s) { return s.shards.size(); });
   }
 
-  // Attach a helper-thread executor (e.g. StealingExecutor): batches of at
-  // least the fan-out threshold whose merged run spans >1 shard are split
-  // into per-shard sub-batches, bulk-submitted, and helped to completion.
+  // Attach a helper-thread executor (e.g. StealingExecutor): episodes of at
+  // least the fan-out threshold whose ops span >1 shard are split into
+  // per-shard sub-batches, bulk-submitted, and helped to completion.
   // The executor must outlive the attachment (detach before destroying it).
   template <typename Exec>
   void attach_executor(Exec& e) {
     Exec* ep = &e;
-    engine_.apply_locked([ep](State& s) {
-      s.exec = ep;
-      s.dispatch = &dispatch_to<Exec>;
-    });
+    engine_.apply_locked([ep](State& s) { s.attach(*ep); });
   }
 
   void detach_executor() {
-    engine_.apply_locked([](State& s) {
-      s.exec = nullptr;
-      s.dispatch = nullptr;
-    });
+    engine_.apply_locked([](State& s) { s.detach(); });
   }
 
-  // Minimum merged-batch size that triggers fan-out (default 256): below
-  // it, dispatch overhead beats the parallelism.
+  // Minimum episode size (ops across all merged runs) that triggers fan-out
+  // (default 256): below it, dispatch overhead beats the parallelism.
   void set_fanout_threshold(std::size_t n) {
     engine_.apply_locked([n](State& s) { s.fanout_threshold = n; });
   }
@@ -511,23 +467,6 @@ class BatchedSkipListSet {
   }
 
  private:
-  // Type-erased fan-out trampoline: builds the executor's task span on the
-  // stack, bulk-submits, and helps until done (the combiner making
-  // progress on its own sub-batches is what keeps a 1-CPU host live).
-  template <typename Exec>
-  static void dispatch_to(void* exec, typename State::SegJob* jobs,
-                          std::size_t n) {
-    Exec& e = *static_cast<Exec*>(exec);
-    typename Exec::Task tasks[kBatchedSkipListMaxShards];
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks[i].fn = &State::SegJob::run;
-      tasks[i].ctx = &jobs[i];
-    }
-    typename Exec::Latch latch;
-    e.submit_bulk(std::span<typename Exec::Task>(tasks, n), latch);
-    e.wait(latch);
-  }
-
   // mutable: combining serializes logically-const reads through apply too.
   mutable Engine<State> engine_{};
 };

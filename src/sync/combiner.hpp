@@ -15,14 +15,13 @@
 //                          operation interleaved, paying one synchronization
 //                          episode for k operations);
 //   * apply_sorted_batch(ops)
-//                        — the ordered-structure extension point: the
-//                          submitter pre-sorts its run (Op::prepare), the
-//                          request is published as MERGEABLE, and a combiner
-//                          that finds several pending runs of the same Op
-//                          type executes them as one Op::apply_runs call —
-//                          the OBATCHER shape, where the combining episode
-//                          sees the union of all pending batches and can
-//                          apply it in key order / fan it out by key range;
+//                        — the ordered-structure extension point: the run
+//                          is published as MERGEABLE, and a combiner that
+//                          finds several pending runs of the same Op type
+//                          executes them as one Op::apply_runs call — the
+//                          OBATCHER shape, where the combining episode sees
+//                          the union of all pending batches and sorts,
+//                          applies and fans it out by key range itself;
 //   * apply_locked(op)   — direct exclusive access for initialization and
 //                          inspection, serialized with combining passes.
 //
@@ -160,16 +159,16 @@ void run_erased(void* ctx, void* res, State& s) {
   }
 }
 
-// A mergeable sorted run as published to the engine: the submitter's
-// contiguous Op array, already sorted by Op::prepare.  Lives on the
-// submitter's stack for the duration of the request.
+// A mergeable run as published to the engine: the submitter's contiguous Op
+// array, in submission order (Op::apply_runs does any sorting).  Lives on
+// the submitter's stack for the duration of the request.
 struct SortedRun {
   void* data;
   std::size_t len;
 };
 
 // The type-erased entry point a combiner calls for a GROUP of pending
-// sorted runs of the same Op type: each ctx is a SortedRun*, in combining
+// mergeable runs of the same Op type: each ctx is a SortedRun*, in combining
 // (linearization) order.
 template <typename State>
 using MergedRunFn = void (*)(void* const* ctxs, std::size_t n, State& s);
@@ -185,10 +184,9 @@ void run_merged_erased(void* const* ctxs, std::size_t n, State& s) {
 }
 
 // Concept archetype for the sorted-batch surface (a function pointer cannot
-// carry the static prepare/apply_runs hooks a real batch Op type provides).
+// carry the static apply_runs hook a real batch Op type provides).
 template <typename State>
 struct BatchProbeOp {
-  static void prepare(std::span<BatchProbeOp>) {}
   static void apply_runs(std::span<std::span<BatchProbeOp>>, State&) {}
   void operator()(State&) {}
 };
@@ -200,17 +198,16 @@ struct BatchProbeOp {
 //
 //   * apply_batch: the whole span runs back-to-back inside one combining
 //     request (one publication, one spin episode), no foreign op inside;
-//   * apply_sorted_batch: Op::prepare sorts the caller's run on the
-//     SUBMITTING thread (so sort work parallelizes across submitters), then
-//     the run is published as a mergeable request via the engine's
-//     submit_merged.  A combiner that encounters several pending runs of
-//     the same Op type hands them ALL to one Op::apply_runs call, in
-//     combining order — that call merges the sorted runs and applies the
-//     union in key order (and may fan disjoint key ranges out to helper
-//     threads; see skiplist/batched_skiplist.hpp).  Per-op results live in
-//     the ops themselves; every member request completes only after
-//     apply_runs returns, so results are fully written before any
-//     submitter's wait drops.
+//   * apply_sorted_batch: the caller's run, as built, is published as a
+//     mergeable request via the engine's submit_merged.  A combiner that
+//     encounters several pending runs of the same Op type hands them ALL to
+//     one Op::apply_runs call, in combining order — that call sorts the
+//     union and applies it in key order (and may fan disjoint key ranges
+//     out to helper threads, each sorting and applying its own range; see
+//     skiplist/batched_skiplist.hpp).  Per-op results live in the ops
+//     themselves; every member request completes only after apply_runs
+//     returns, so results are fully written before any submitter's wait
+//     drops.
 template <typename Derived, typename State>
 class CombinerBatchOps {
  public:
@@ -225,7 +222,6 @@ class CombinerBatchOps {
   template <typename Op>
   void apply_sorted_batch(std::span<Op> ops) {
     if (ops.empty()) return;
-    Op::prepare(ops);
     detail::SortedRun run{ops.data(), ops.size()};
     derived().submit_merged(&detail::run_merged_erased<State, Op>, &run);
   }

@@ -45,10 +45,10 @@
 //     cell-to-cell as bytes) and at most max_align_t-aligned.
 //
 // apply_sorted_batch note: merging happens per-request (each batch is one
-// apply_runs call on the helper's copy — Op::prepare runs there too, so the
-// run's intra-batch pointers target the copy).  Cross-submitter merging
-// buys nothing under P-Sim: every episode re-copies the state anyway, and
-// the union of pending batches still lands in one successful SC.
+// apply_runs call on the helper's copy of the run, so the results it
+// writes land in the copy).  Cross-submitter merging buys nothing under
+// P-Sim: every episode re-copies the state anyway, and the union of pending
+// batches still lands in one successful SC.
 #pragma once
 
 #include <cstddef>
@@ -144,10 +144,9 @@ class PSim {
     submit_batch<Op, /*Sorted=*/false>(ops);
   }
 
-  // The sorted-run surface.  Op::prepare runs on the HELPER's copy of the
-  // run (its intra-run pointers must target the copy), not on the
-  // submitting thread — under P-Sim, submitter-side sorting would hand
-  // helpers a run threaded through shared memory they must not mutate.
+  // The sorted-run surface: one apply_runs call per request, on the
+  // HELPER's copy of the run (results must land in the copy; the announced
+  // record is shared and immutable).
   template <typename Op>
   void apply_sorted_batch(std::span<Op> ops) {
     if (ops.empty()) return;
@@ -234,7 +233,6 @@ class PSim {
     std::memcpy(cell.rbuf[tid].data(), req->ops.data(), n * sizeof(Op));
     std::span<Op> run(reinterpret_cast<Op*>(cell.rbuf[tid].data()), n);
     if constexpr (Sorted) {
-      Op::prepare(run);
       detail::SortedRun sr{run.data(), run.size()};
       void* ctx = &sr;
       detail::run_merged_erased<State, Op>(&ctx, 1, cell.state);

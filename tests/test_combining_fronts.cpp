@@ -12,11 +12,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <span>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "counter/combining_counter.hpp"
 #include "pool/stealing_pool.hpp"
 #include "queue/combining_queue.hpp"
@@ -431,6 +433,129 @@ TYPED_TEST(BatchedSkipListTest, FanOutProducesSameStateAsInline) {
   EXPECT_GT(st.fanout_batches, 0u);
   EXPECT_GT(st.fanout_subbatches, st.fanout_batches);
   EXPECT_EQ(inline_set.stats().fanout_batches, 0u);
+}
+
+// Cross-run order without a scheduler: three runs handed to ONE apply_runs
+// call on a bare State, as a combiner would after finding them pending.
+// The runs share keys in all 8 shards, so every bucket interleaves ops of
+// several runs and several ops per key; last-writer-wins must be exactly
+// that of applying the runs one after another, with the fan-out on or off.
+TEST(BatchedSkipListState, MergedRunsMatchSequentialApplication) {
+  using Map = BatchedMap<std::uint64_t, std::uint64_t, std::less<std::uint64_t>,
+                         CcSynch, SkipListLevels::kKeyed>;
+  using State = Map::Set::State;
+  using Op = Map::Op;
+  using Entry = Map::Entry;
+  constexpr std::uint64_t kShardWidth = 100;
+  constexpr std::uint64_t kKeysPerShard = 6;
+  std::vector<Entry> splits;
+  for (std::uint64_t s = 1; s < 8; ++s) {
+    splits.push_back(Entry{s * kShardWidth, 0});
+  }
+
+  for (const bool fan : {false, true}) {
+    SCOPED_TRACE(fan ? "fan-out" : "inline");
+    State st(splits);
+    ASSERT_EQ(st.shards.size(), 8u);
+    StealingExecutor<> exec(1);
+    if (fan) {
+      st.attach(exec);
+      st.fanout_threshold = 16;
+    }
+    std::map<std::uint64_t, std::uint64_t> ref;
+    Xoshiro256 rng(7);
+    std::uint64_t next_value = 1;
+    // Round 0 prefills; rounds 1-2 mix every op kind over the same keys.
+    for (int round = 0; round < 3; ++round) {
+      std::vector<Op> runs[3];
+      for (auto& run : runs) {
+        for (int i = 0; i < 120; ++i) {
+          const std::uint64_t key = rng.next_below(8) * kShardWidth +
+                                    rng.next_below(kKeysPerShard);
+          const std::uint64_t kind = round == 0 ? 1 : rng.next_below(4);
+          const Entry e{key, next_value++};
+          run.push_back(kind == 0   ? Op::contains(Entry{key, 0})
+                        : kind == 1 ? Op::assign(e)
+                        : kind == 2 ? Op::insert(e)
+                                    : Op::erase(e));
+        }
+      }
+      // The reference: each run in turn, each op in submission order.
+      std::vector<Op> expect[3];
+      for (std::size_t r = 0; r < 3; ++r) {
+        expect[r] = runs[r];
+        for (Op& op : expect[r]) {
+          const auto it = ref.find(op.key.key);
+          const bool present = it != ref.end();
+          switch (op.kind) {
+            case Op::Kind::kContains:
+              op.result = present;
+              if (present) op.key.value = it->second;
+              break;
+            case Op::Kind::kInsert:
+              op.result = !present;
+              if (!present) ref[op.key.key] = op.key.value;
+              break;
+            case Op::Kind::kAssign:
+              op.result = !present;
+              ref[op.key.key] = op.key.value;
+              break;
+            case Op::Kind::kErase:
+              op.result = present;
+              ref.erase(op.key.key);
+              break;
+          }
+        }
+      }
+      const std::uint64_t fanned = st.stats.fanout_batches;
+      std::span<Op> spans[3] = {runs[0], runs[1], runs[2]};
+      Op::apply_runs(std::span<std::span<Op>>(spans, 3), st);
+      EXPECT_EQ(st.stats.fanout_batches, fanned + (fan ? 1 : 0));
+      for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t i = 0; i < runs[r].size(); ++i) {
+          const Op& got = runs[r][i];
+          const Op& want = expect[r][i];
+          ASSERT_EQ(got.result, want.result)
+              << "round " << round << " run " << r << " op " << i;
+          if (got.kind == Op::Kind::kContains && got.result) {
+            ASSERT_EQ(got.key.value, want.key.value)
+                << "round " << round << " run " << r << " op " << i;
+          }
+        }
+      }
+    }
+
+    // Final contents: every key reads back the reference value from the
+    // shard that owns it, and nothing else is stored.
+    std::vector<Op> reads;
+    for (std::uint64_t s = 0; s < 8; ++s) {
+      for (std::uint64_t k = 0; k < kKeysPerShard; ++k) {
+        reads.push_back(Op::contains(Entry{s * kShardWidth + k, 0}));
+      }
+    }
+    std::span<Op> read_span[1] = {reads};
+    Op::apply_runs(std::span<std::span<Op>>(read_span, 1), st);
+    std::size_t stored = 0;
+    for (const auto& sh : st.shards) stored += sh->size();
+    EXPECT_EQ(stored, ref.size());
+    for (const Op& op : reads) {
+      const auto it = ref.find(op.key.key);
+      ASSERT_EQ(op.result, it != ref.end()) << "key " << op.key.key;
+      if (op.result) {
+        ASSERT_EQ(op.key.value, it->second) << "key " << op.key.key;
+      }
+    }
+
+    // A batch whose ops all fall in one shard runs inline, however large.
+    const std::uint64_t fanned = st.stats.fanout_batches;
+    std::vector<Op> one_shard;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      one_shard.push_back(Op::assign(Entry{3 * kShardWidth + i % 50, i}));
+    }
+    std::span<Op> one_span[1] = {one_shard};
+    Op::apply_runs(std::span<std::span<Op>>(one_span, 1), st);
+    EXPECT_EQ(st.stats.fanout_batches, fanned);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -427,6 +427,7 @@ void batched_fanout_churn_one() {
   EXPECT_GT(st.fanout_batches, 0u)
       << "engine " << combining_engine_name<Engine>::value;
   s.detach_executor();
+  exec.quiesce();
   exec.pool().collect_all();
   EXPECT_EQ(exec.pool().retired_count(), 0u)
       << "engine " << combining_engine_name<Engine>::value;
